@@ -1,32 +1,36 @@
 """Neighbour finding on a periodic box.
 
-The SPH kernels and the short-range gravity both need
-"all pairs closer than a cutoff".  We use a uniform cell list sized to
-the cutoff, fully vectorised: particles are binned, the 27 neighbouring
-cells are scanned with array operations, and the result is either a
-flat (i, j) pair list or a CSR neighbour structure.
+The SPH kernels, the short-range gravity and the halo finders all need
+"all pairs closer than a cutoff".  The search is scipy's periodic k-d
+tree: one build per position set, then queries at any cutoff up to half
+the box.  This plays the role of CRK-HACC's tree-based interaction-list
+construction (Section 3.1); the pair counts also feed the GPU kernel
+cost model (interactions per work-item).
 
-This plays the role of CRK-HACC's interaction-list construction; the
-pair counts it produces also feed the instruction profiles of the GPU
-kernel cost model (interactions per work-item).
-
-The decomposition itself is reusable: a :class:`CellList` owns the
-bin-and-sort of one position set and can answer many queries (different
-cutoffs, different i-sides, subsets), and a :class:`CellListCache`
-keeps one alive across kernel calls with a Verlet-skin rebuild
-criterion -- the binning stays valid while no particle has moved more
-than half the skin since it was built, exactly CRK-HACC's
-build-once-per-step interaction-list reuse.
+Exactness: the tree measures distances on its own wrapped coordinates,
+an ulp away from the ``(d + half) % box - half`` minimum image.  Each
+query asks the tree for a hair more than the cutoff, then keeps a pair
+only if ``r**2 < cutoff**2`` on that minimum image, decided once per
+unordered pair in the ``i < j`` direction: the pair sets are exactly
+those of an O(N^2) minimum-image scan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from repro import xp
+
+#: the tree is asked for pairs within ``cutoff + _SLACK * box``; the
+#: strict minimum-image test then decides (absorbs the round-off
+#: between the tree's wrapped coordinates and the minimum image)
+_SLACK = 1e-9
+#: candidate pairs tested per block, so the filter's temporaries stay
+#: bounded however many pairs a query finds
+_FILTER_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -53,374 +57,136 @@ class NeighborList:
         return self.indices[self.start[i] : self.start[i + 1]]
 
 
-def _cell_index(pos: np.ndarray, box: float, n_cells: int) -> np.ndarray:
-    cell = xp.floor((pos % box) / (box / n_cells)).astype(np.int64)
-    return xp.clip(cell, 0, n_cells - 1)
+def _positions(pos: np.ndarray) -> np.ndarray:
+    pos = np.asarray(pos, dtype=np.float64)
+    if pos.ndim != 2 or pos.shape[1] != 3:
+        raise ValueError("positions must be (n, 3)")
+    return pos
 
 
-@lru_cache(maxsize=None)
-def _stencil(reach: int, half: bool) -> np.ndarray:
-    """The ``(2*reach + 1)**3`` cell stencil, in fixed offset-major
-    order (dx outermost, dz innermost).
+def _check_cutoff(cutoff: float, box: float) -> None:
+    if cutoff <= 0:
+        raise ValueError("cutoff must be positive")
+    if cutoff * 2.0 > box:
+        raise ValueError(
+            f"cutoff {cutoff} too large for box {box} under minimum image"
+        )
 
-    ``reach`` > 1 lets a finely-binned cell list answer a cutoff larger
-    than one cell edge, so one decomposition serves queries at several
-    scales.  With ``half`` the self cell comes first followed by the
-    lexicographically-positive offsets only: on a *fresh* binning each
-    unordered pair of distinct cells is then scanned exactly once (the
-    self cell is deduplicated by the i < j filter), halving candidate
-    work.  The half stencil is unsafe on a stale Verlet-skin binning,
-    where drift across cell boundaries can push both query directions
-    into the negative half.
-    """
-    axis = range(-reach, reach + 1)
-    if half:
-        offsets = [(0, 0, 0)] + [
-            (dx, dy, dz)
-            for dx in axis
-            for dy in axis
-            for dz in axis
-            if (dx, dy, dz) > (0, 0, 0)
-        ]
-    else:
-        offsets = [(dx, dy, dz) for dx in axis for dy in axis for dz in axis]
-    return np.array(offsets, dtype=np.int64)
+
+def _wrap(pos: np.ndarray, box: float) -> np.ndarray:
+    """Coordinates in ``[0, box)``, as the periodic tree requires:
+    ``np.mod(-1e-17, box)`` is ``box``, whose periodic image is 0."""
+    wrapped = np.mod(pos, box)
+    wrapped[wrapped >= box] = 0.0
+    return wrapped
+
+
+def _strictly_within(a, b, i, j, box, cutoff, *, drop_coincident=False):
+    """Mask of candidate pairs with minimum-image ``|a[i] - b[j]|`` below
+    ``cutoff`` (and above zero with ``drop_coincident``)."""
+    half = 0.5 * box
+    keep = np.empty(len(i), dtype=bool)
+    for s in range(0, len(i), _FILTER_CHUNK):
+        block = slice(s, s + _FILTER_CHUNK)
+        d = np.take(a, i[block], axis=0) - np.take(b, j[block], axis=0)
+        d = (d + half) % box - half
+        r2 = xp.rowwise_dot(d, d)
+        keep[block] = r2 < cutoff * cutoff
+        if drop_coincident:
+            keep[block] &= r2 > 0.0
+    return keep
 
 
 @dataclass
 class CellList:
-    """Reusable uniform cell decomposition of one position set.
+    """Periodic k-d tree over a private copy ``pos`` of one position set.
 
-    The bin + stable sort is done once at :meth:`build`; every query
-    (:meth:`pairs_within`, :meth:`cross_pairs`) is then a pure gather
-    over the sorted structure with no Python-level per-particle loops.
-
-    ``ref_pos`` is the snapshot the binning was computed from;
-    ``pos`` are the *current* positions of the same particles (distances
-    are always evaluated against ``pos``).  The binning stays a valid
-    superset search structure for a query cutoff ``c`` as long as
-    ``c + skin <= cell_size`` and no particle has drifted more than
-    ``skin / 2`` from its reference position -- the classic Verlet-skin
-    argument.
+    It keeps the name of the uniform cell list it replaced, by which
+    :class:`CellListCache`, every ``cell_list=`` argument and the
+    benchmark's tracing hooks know the pair index.  ``use_cells`` stays
+    for them and is always True: there is no brute-force fallback.
     """
 
     box: float
-    cutoff: float  # cutoff the list was built for
-    skin: float
-    n_cells: int
-    cell_size: float
-    ref_pos: np.ndarray
     pos: np.ndarray
-    order: np.ndarray | None = field(default=None, repr=False)
-    boundaries: np.ndarray | None = field(default=None, repr=False)
+    tree: cKDTree
+    use_cells = True
 
     @classmethod
-    def build(
-        cls, pos: np.ndarray, box: float, cutoff: float, *, skin: float = 0.0
-    ) -> "CellList":
-        pos = np.asarray(pos, dtype=np.float64)
-        if pos.ndim != 2 or pos.shape[1] != 3:
-            raise ValueError("positions must be (n, 3)")
-        if cutoff <= 0:
-            raise ValueError("cutoff must be positive")
-        if skin < 0:
-            raise ValueError("skin must be non-negative")
-        n_cells = max(1, int(np.floor(box / (cutoff + skin))))
-        cell_size = box / n_cells
-        order = boundaries = None
-        # with fewer than 3 cells per side the 27-stencil would double
-        # count periodic images; queries fall back to brute force
-        if n_cells >= 3 and len(pos):
-            cells = _cell_index(pos, box, n_cells)
-            flat = (cells[:, 0] * n_cells + cells[:, 1]) * n_cells + cells[:, 2]
-            order = xp.argsort(flat)
-            boundaries = xp.searchsorted(flat[order], xp.arange(n_cells**3 + 1))
-        return cls(
-            box=box,
-            cutoff=float(cutoff),
-            skin=float(skin),
-            n_cells=n_cells,
-            cell_size=cell_size,
-            ref_pos=pos,
-            pos=pos,
-            order=order,
-            boundaries=boundaries,
+    def build(cls, pos: np.ndarray, box: float, cutoff: float) -> "CellList":
+        """Index ``pos`` for queries at ``cutoff`` (checked against the
+        minimum-image bound; the tree answers any admissible cutoff)."""
+        pos = _positions(pos)
+        _check_cutoff(cutoff, box)
+        tree = cKDTree(_wrap(pos, box), boxsize=box)
+        return cls(box=float(box), pos=pos.copy(), tree=tree)
+
+    def matches(self, pos: np.ndarray) -> bool:
+        """Whether this index was built over exactly ``pos``."""
+        return pos.shape == self.pos.shape and np.array_equal(pos, self.pos)
+
+    def pairs(self, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+        """Unordered pairs (i, j), i < j, closer than ``cutoff``."""
+        found = self.tree.query_pairs(
+            cutoff + _SLACK * self.box, output_type="ndarray"
         )
-
-    # ------------------------------------------------------------------
-    @property
-    def n_particles(self) -> int:
-        return len(self.ref_pos)
-
-    @property
-    def use_cells(self) -> bool:
-        """Whether the stencil search is active (vs brute force)."""
-        return self.order is not None
-
-    def reach(self, cutoff: float) -> int:
-        """Stencil half-width (in cells) covering ``cutoff`` plus drift.
-
-        A pair within ``cutoff`` whose endpoints have each drifted at
-        most ``skin / 2`` was separated by less than ``cutoff + skin``
-        at build time, so its cells differ by at most
-        ``ceil((cutoff + skin) / cell_size)`` per axis.
-        """
-        ratio = (cutoff + self.skin) / self.cell_size
-        return max(1, int(np.ceil(ratio * (1.0 - 1e-12))))
-
-    def supports(self, cutoff: float) -> bool:
-        """Whether a query with this cutoff is exact on this binning.
-
-        Cutoffs larger than one cell edge are answered with a wider
-        ``(2k + 1)**3`` stencil; the binning supports the query as long
-        as that stencil's cells are distinct under the periodic wrap
-        (``2k + 1 <= n_cells``).  In the brute-force regime there is no
-        binning to invalidate.
-        """
-        if not self.use_cells:
-            return True
-        return 2 * self.reach(cutoff) + 1 <= self.n_cells
-
-    def update_positions(self, pos: np.ndarray) -> None:
-        """Point the list at the particles' current positions.
-
-        The binning is *not* recomputed; callers pair this with
-        :meth:`is_current` (or a :class:`CellListCache`) to decide when
-        a rebuild is due.
-        """
-        pos = np.asarray(pos, dtype=np.float64)
-        if pos.shape != self.ref_pos.shape:
-            raise ValueError(
-                f"position set shape {pos.shape} does not match the "
-                f"cell list's {self.ref_pos.shape}"
-            )
-        self.pos = pos
-
-    def max_displacement(self) -> float:
-        """Largest minimum-image drift of ``pos`` from ``ref_pos``."""
-        if self.pos is self.ref_pos or not len(self.ref_pos):
-            return 0.0
-        half = 0.5 * self.box
-        d = (self.pos - self.ref_pos + half) % self.box - half
-        return float(np.sqrt(xp.max(xp.rowwise_dot(d, d))))
-
-    def is_current(self) -> bool:
-        """Verlet-skin criterion: binning still covers every true pair."""
-        if not self.use_cells:
-            return True  # brute force never consults the binning
-        return self.max_displacement() <= 0.5 * self.skin
-
-    # ------------------------------------------------------------------
-    def _stencil_candidates(
-        self, pos_query: np.ndarray, stencil: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """(query index, member index, count from the stencil's first
-        offset) candidate pairs, fully vectorised (cumsum-based ragged
-        gather, no Python-level per-particle loops)."""
-        n_q = len(pos_query)
-        empty = np.array([], dtype=np.int64)
-        if n_q == 0:
-            return empty, empty, 0
-        cells_q = _cell_index(pos_query, self.box, self.n_cells)
-        ncell = (cells_q[None, :, :] + stencil[:, None, :]) % self.n_cells
-        nflat = (
-            (ncell[..., 0] * self.n_cells + ncell[..., 1]) * self.n_cells
-            + ncell[..., 2]
-        ).ravel()
-        starts = self.boundaries[nflat]
-        counts = self.boundaries[nflat + 1] - starts
-        total = int(xp.sum(counts))
-        n_first = int(xp.sum(counts[:n_q]))
-        if total == 0:
-            return empty, empty, 0
-        rep = xp.repeat(xp.tile(xp.arange(n_q), len(stencil)), counts)
-        # ragged ranges 0..counts[k] for every bucket, without a Python
-        # loop: a global arange minus each element's bucket offset
-        shifts = xp.cumsum(counts) - counts
-        within = xp.arange(total, dtype=np.int64) - xp.repeat(shifts, counts)
-        cand = self.order[xp.repeat(starts, counts) + within]
-        return rep, cand, n_first
-
-    def pairs_within(
-        self, cutoff: float, *, subset: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """All directed pairs (i, j), i != j, within ``cutoff`` among the
-        member particles (or among ``subset`` of them, with indices
-        local to the subset).
-
-        The cutoff decision is made once per unordered pair in the
-        canonical direction and mirrored, so the directed list is
-        exactly symmetric (see :func:`find_pairs`).
-        """
-        empty = np.array([], dtype=np.int64)
-        if subset is not None:
-            subset = np.asarray(subset, dtype=np.int64)
-        if not self.use_cells:
-            p = self.pos if subset is None else self.pos[subset]
-            return _find_pairs_bruteforce(p, p, self.box, cutoff, True)
-        pos_q = self.pos if subset is None else self.pos[subset]
-        # a fresh binning admits the half stencil (each unordered pair
-        # of cells scanned once); a stale Verlet-skin binning needs the
-        # full stencil plus the i < j dedup
-        fresh = self.pos is self.ref_pos
-        stencil = _stencil(self.reach(cutoff), fresh)
-        rep, cand, n_self = self._stencil_candidates(pos_q, stencil)
-        if len(rep) == 0:
-            return empty, empty
-        if subset is None:
-            gi, gj = rep, cand
-            local_j = cand
-        else:
-            local = xp.full(self.n_particles, -1, dtype=np.int64)
-            local[subset] = xp.arange(len(subset))
-            keep = local[cand] >= 0
-            if fresh:
-                n_self = int(xp.count_nonzero(keep[:n_self]))
-            rep, cand = rep[keep], cand[keep]
-            gi = subset[rep]
-            gj = cand
-            local_j = local[cand]
-        half = 0.5 * self.box
-        d = self.pos[gi] - self.pos[gj]
-        d = (d + half) % self.box - half
-        r2 = xp.rowwise_dot(d, d)
-        mask = r2 < cutoff * cutoff
-        if fresh:
-            # cross-cell candidates already appear once per unordered
-            # pair; only the self cell (first stencil offset) needs the
-            # index dedup
-            mask[:n_self] &= gi[:n_self] < gj[:n_self]
-        else:
-            mask &= gi < gj
-        i_loc = rep[mask]
-        j_loc = local_j[mask]
-        return (
-            xp.concatenate([i_loc, j_loc]),
-            xp.concatenate([j_loc, i_loc]),
-        )
+        i, j = found[:, 0], found[:, 1]
+        keep = _strictly_within(self.pos, self.pos, i, j, self.box, cutoff)
+        return i[keep], j[keep]
 
     def cross_pairs(
         self, pos_query: np.ndarray, cutoff: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Directed cross pairs from ``pos_query`` (i) to the member set
-        (j) within ``cutoff``, excluding exact coincidences (r = 0): a
-        query particle coinciding with a member (e.g. a particle and
-        its own ghost copy) would otherwise divide by zero in every
-        gather-style kernel downstream.
-        """
-        pos_query = np.asarray(pos_query, dtype=np.float64)
-        if not self.use_cells:
-            return _find_pairs_bruteforce(
-                pos_query, self.pos, self.box, cutoff, False
-            )
-        rep, cand, _n_self = self._stencil_candidates(
-            pos_query, _stencil(self.reach(cutoff), False)
+        """Directed cross pairs from ``pos_query`` (i) to the indexed set
+        (j) within ``cutoff``, excluding exact coincidences (r = 0, e.g.
+        a particle and its own ghost copy), which would divide by zero
+        in every gather-style kernel downstream."""
+        query = cKDTree(_wrap(pos_query, self.box), boxsize=self.box)
+        found = query.sparse_distance_matrix(
+            self.tree, cutoff + _SLACK * self.box, output_type="ndarray"
         )
-        if len(rep) == 0:
-            return rep, cand
-        half = 0.5 * self.box
-        d = pos_query[rep] - self.pos[cand]
-        d = (d + half) % self.box - half
-        r2 = xp.rowwise_dot(d, d)
-        mask = (r2 < cutoff * cutoff) & (r2 > 0.0)
-        return rep[mask], cand[mask]
+        i, j = found["i"], found["j"]
+        keep = _strictly_within(
+            pos_query, self.pos, i, j, self.box, cutoff, drop_coincident=True
+        )
+        return i[keep], j[keep]
 
 
 class CellListCache:
-    """Step-level :class:`CellList` cache with Verlet-skin reuse.
+    """One-entry :class:`CellList` cache keyed on the position state.
 
-    ``get(pos, cutoff)`` returns a cell list valid for the query: a
-    cached one (positions updated in place) while it still covers the
-    cutoff and no particle has drifted more than half the skin since
-    the binning was built; a fresh build otherwise.  A binning answers
-    cutoffs larger than its cell edge through wider stencils
-    (:meth:`CellList.reach`), so the SPH and short-range gravity
-    queries of one step normally share one decomposition.  When the
-    box is too small for one binning to serve both scales well, the
-    cache keeps up to two resolution tiers instead of thrashing.
-
-    ``builds`` / ``hits`` count rebuilds and reuses; when ``metrics``
-    is set they are mirrored to the ``sim.pairs.cell_list.builds`` /
-    ``sim.pairs.cell_list.hits`` counters.
+    ``get(pos, cutoff)`` returns the cached index if it was built over
+    exactly ``pos`` (one tree answers every cutoff), else builds and
+    keeps a fresh one: in a KDK step, the closing force evaluation's
+    index serves the next step's opening one.  ``builds`` / ``hits``
+    are mirrored to the ``sim.pairs.cell_list.*`` counters of
+    ``metrics`` when set.
     """
 
-    #: resolution tiers kept alive at once
-    MAX_LISTS = 2
-    #: reuse a binning only while its cells are within this factor of
-    #: the query's optimal cell size (candidate volume grows cubically)
-    MAX_COARSENESS = 2.0
-    #: ... and while the stencil stays this narrow: a much finer
-    #: binning covers a large cutoff only through a huge bucket count
-    MAX_REACH = 3
-
-    def __init__(
-        self,
-        box: float,
-        *,
-        skin_fraction: float = 0.1,
-        metrics=None,
-        enabled: bool = True,
-    ):
-        if skin_fraction < 0:
-            raise ValueError("skin fraction must be non-negative")
+    def __init__(self, box: float, *, metrics=None):
         self.box = box
-        self.skin_fraction = skin_fraction
         self.metrics = metrics
-        self.enabled = enabled
         self.builds = 0
         self.hits = 0
-        self._lists: list[CellList] = []
+        self._entry: CellList | None = None
 
-    def _suitable(self, cached: CellList, cutoff: float, n: int) -> bool:
-        if cached.n_particles != n or not cached.supports(cutoff):
-            return False
-        target = cutoff * (1.0 + self.skin_fraction)
-        can_bin = int(np.floor(self.box / target)) >= 3
-        if not cached.use_cells:
-            # a brute-force list only stands in when brute force is the
-            # best this cutoff could get anyway
-            return not can_bin
-        well_matched = (
-            cached.cell_size <= self.MAX_COARSENESS * target
-            and cached.reach(cutoff) <= self.MAX_REACH
-        )
-        return well_matched or not can_bin
-
-    @staticmethod
-    def _same_tier(a: CellList, b: CellList) -> bool:
-        if not a.use_cells or not b.use_cells:
-            return a.use_cells == b.use_cells
-        ratio = a.cell_size / b.cell_size
-        return 0.75 <= ratio <= 4.0 / 3.0
+    def _count(self, name: str) -> None:
+        if self.metrics is not None:
+            self.metrics.counter(f"sim.pairs.cell_list.{name}").inc()
 
     def get(self, pos: np.ndarray, cutoff: float) -> CellList:
         pos = np.asarray(pos, dtype=np.float64)
-        if self.enabled:
-            for k, cached in enumerate(self._lists):
-                if not self._suitable(cached, cutoff, len(pos)):
-                    continue
-                cached.update_positions(pos)
-                if not cached.is_current():
-                    continue
-                self.hits += 1
-                if self.metrics is not None:
-                    self.metrics.counter("sim.pairs.cell_list.hits").inc()
-                # most-recently-used first
-                self._lists.insert(0, self._lists.pop(k))
-                return cached
-        cell_list = CellList.build(
-            pos, self.box, cutoff, skin=self.skin_fraction * cutoff
-        )
+        if self._entry is not None and self._entry.matches(pos):
+            self.hits += 1
+            self._count("hits")
+            return self._entry
+        self._entry = CellList.build(pos, self.box, cutoff)
         self.builds += 1
-        if self.metrics is not None:
-            self.metrics.counter("sim.pairs.cell_list.builds").inc()
-        if self.enabled:
-            keep = [c for c in self._lists if not self._same_tier(c, cell_list)]
-            self._lists = ([cell_list] + keep)[: self.MAX_LISTS]
-        return cell_list
+        self._count("builds")
+        return self._entry
 
     def invalidate(self) -> None:
-        self._lists = []
+        self._entry = None
 
 
 def find_pairs(
@@ -431,69 +197,37 @@ def find_pairs(
     pos_other: np.ndarray | None = None,
     cell_list: CellList | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All directed pairs (i, j), i != j, with |x_i - x_j| < cutoff.
+    """All directed pairs (i, j), i != j, with |x_i - x_j| < cutoff,
+    under the periodic minimum-image convention.  The first half of the
+    arrays holds each unordered pair once with i < j, the second half
+    its mirror.
 
     With ``pos_other`` given, finds cross pairs from ``pos`` (i) to
-    ``pos_other`` (j) instead, used for gather-style kernels where the
-    j-side includes ghost particles; exact coincidences (r = 0, a
-    particle meeting its own ghost) are excluded there.
-    Periodic minimum-image convention throughout.
+    ``pos_other`` (j) instead, for gather-style kernels whose j-side
+    includes ghost particles; exact coincidences (r = 0) are excluded.
 
     ``cell_list``, when given, must be a :class:`CellList` built over
     the j-side set (``pos`` itself in symmetric mode); it is reused
-    instead of re-binning, which is the hot-loop path (see
-    :class:`CellListCache`).
+    instead of building a tree (see :class:`CellListCache`).
     """
-    pos = np.asarray(pos, dtype=np.float64)
-    if pos.ndim != 2 or pos.shape[1] != 3:
-        raise ValueError("positions must be (n, 3)")
-    if cutoff <= 0:
-        raise ValueError("cutoff must be positive")
-    if cutoff * 2.0 > box:
-        raise ValueError(
-            f"cutoff {cutoff} too large for box {box} under minimum image"
-        )
-    symmetric = pos_other is None
-    other = pos if symmetric else np.asarray(pos_other, dtype=np.float64)
-
+    pos = _positions(pos)
+    _check_cutoff(cutoff, box)
+    other = pos if pos_other is None else _positions(pos_other)
     if cell_list is None:
         cell_list = CellList.build(other, box, cutoff)
-    else:
-        if cell_list.box != box:
-            raise ValueError(
-                f"cell list box {cell_list.box} does not match query box {box}"
-            )
-        if not cell_list.supports(cutoff):
-            raise ValueError(
-                f"cell list (cell size {cell_list.cell_size:.6g}, skin "
-                f"{cell_list.skin:.6g}) cannot answer cutoff {cutoff:.6g}"
-            )
-        cell_list.update_positions(other)
-
-    if symmetric:
-        return cell_list.pairs_within(cutoff)
-    return cell_list.cross_pairs(pos, cutoff)
-
-
-def _find_pairs_bruteforce(pos, other, box, cutoff, symmetric):
-    """O(n^2) fallback for small particle counts / large cutoffs."""
-    half = 0.5 * box
-    d = pos[:, None, :] - other[None, :, :]
-    d = (d + half) % box - half
-    r2 = np.einsum("abi,abi->ab", d, d)
-    mask = r2 < cutoff * cutoff
-    if symmetric:
-        # decide the cutoff once per unordered pair (see find_pairs)
-        mask = np.triu(mask, k=1)
-        i, j = np.nonzero(mask)
-        return (
-            np.concatenate([i, j]).astype(np.int64),
-            np.concatenate([j, i]).astype(np.int64),
+    elif cell_list.box != box:
+        raise ValueError(
+            f"cell list box {cell_list.box} does not match query box {box}"
         )
-    # cross mode: drop exact coincidences (see CellList.cross_pairs)
-    mask &= r2 > 0.0
-    i, j = np.nonzero(mask)
-    return i.astype(np.int64), j.astype(np.int64)
+    elif not cell_list.matches(other):
+        raise ValueError(
+            "cell list was built over other positions than the query's "
+            f"{other.shape[0]} j-side particles"
+        )
+    if pos_other is not None:
+        return cell_list.cross_pairs(pos, cutoff)
+    i, j = cell_list.pairs(cutoff)
+    return xp.concatenate([i, j]), xp.concatenate([j, i])
 
 
 def build_neighbor_list(

@@ -27,6 +27,8 @@ from repro.hacc.units import G_NEWTON
 
 #: polynomial order of the fitted force kernel (Appendix A)
 POLY_ORDER = 5
+#: unordered pairs evaluated per block of :meth:`ShortRangeSolver.accelerations`
+_PAIR_CHUNK = 1 << 16
 
 
 def exact_short_range_factor(r: np.ndarray, r_s: float) -> np.ndarray:
@@ -82,7 +84,12 @@ class PolynomialForceKernel:
 
 
 class ShortRangeSolver:
-    """Direct particle-particle short-range gravity inside the cutoff."""
+    """Direct particle-particle short-range gravity inside the cutoff.
+
+    Each unordered pair is evaluated once and applied to both ends
+    (Newton's third law), in blocks of :data:`_PAIR_CHUNK` pairs so the
+    evaluation's temporaries do not grow with the pair count.
+    """
 
     def __init__(self, box: float, r_s: float, cutoff: float, softening: float | None = None):
         self.box = box
@@ -100,12 +107,13 @@ class ShortRangeSolver:
     def pair_list(
         self, particles: ParticleData, *, cell_list: CellList | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Directed pair list inside the cutoff, memoised per state.
+        """Unordered pairs (i, j), i < j, inside the cutoff, memoised
+        per state.
 
         Repeated calls at identical positions (the accelerations /
         interaction-count pattern of one force evaluation) reuse the
         stored list; ``cell_list`` additionally reuses a shared spatial
-        decomposition (see :class:`~repro.hacc.neighbors.CellListCache`).
+        index (see :class:`~repro.hacc.neighbors.CellListCache`).
         """
         pos = particles.positions
         cached = self._pair_cache
@@ -116,6 +124,9 @@ class ShortRangeSolver:
         ):
             return cached[1], cached[2]
         i, j = find_pairs(pos, self.box, self.cutoff, cell_list=cell_list)
+        # the first half of the directed list is each pair once, i < j
+        half = len(i) // 2
+        i, j = i[:half], j[:half]
         self._pair_cache = (pos, i, j)
         return i, j
 
@@ -132,25 +143,29 @@ class ShortRangeSolver:
         n = len(particles)
         i, j = self.pair_list(particles, cell_list=cell_list)
         acc = np.zeros((n, 3), dtype=np.asarray(pos).dtype)
-        if len(i) == 0:
-            return acc
-        d = pos[i] - pos[j]
-        d = particles.minimum_image(d)
-        r2 = xp.rowwise_dot(d, d) + self.softening**2
-        r = xp.sqrt(r2)
-        factor = self.kernel(r) if use_polynomial else exact_short_range_factor(r, self.r_s)
-        # attraction of i toward j
-        f = -G_NEWTON * mass[j] * factor / (r2 * r)
-        contrib = f[:, None] * d
-        # per-axis bincount scatter: one contiguous C pass per axis,
-        # replacing the much slower np.add.at (same sums to round-off)
-        for axis in range(3):
-            acc[:, axis] = xp.bincount(i, weights=contrib[:, axis], minlength=n)
+        for start in range(0, len(i), _PAIR_CHUNK):
+            ci = i[start : start + _PAIR_CHUNK]
+            cj = j[start : start + _PAIR_CHUNK]
+            d = np.take(pos, ci, axis=0) - np.take(pos, cj, axis=0)
+            d = particles.minimum_image(d)
+            r2 = xp.rowwise_dot(d, d) + self.softening**2
+            r = xp.sqrt(r2)
+            factor = self.kernel(r) if use_polynomial else exact_short_range_factor(r, self.r_s)
+            # per unit source mass; i is pulled toward j and j toward i
+            g = -G_NEWTON * factor / (r2 * r)
+            g_i = g * np.take(mass, cj)
+            g_j = g * np.take(mass, ci)
+            # per-axis bincount scatter: one contiguous C pass per axis,
+            # replacing the much slower np.add.at (same sums to round-off)
+            for axis in range(3):
+                acc[:, axis] += xp.bincount(ci, weights=g_i * d[:, axis], minlength=n)
+                acc[:, axis] -= xp.bincount(cj, weights=g_j * d[:, axis], minlength=n)
         return acc
 
     def interaction_count(
         self, particles: ParticleData, *, cell_list: CellList | None = None
     ) -> int:
-        """Number of directed pair interactions (feeds the cost model)."""
+        """Number of directed pair interactions (feeds the cost model):
+        twice the unordered pairs evaluated."""
         i, _j = self.pair_list(particles, cell_list=cell_list)
-        return len(i)
+        return 2 * len(i)

@@ -38,7 +38,7 @@ from repro.hacc.sph.corrections import compute_corrections
 from repro.hacc.sph.energy import compute_energy_rate
 from repro.hacc.sph.extras import compute_extras
 from repro.hacc.sph.geometry import compute_geometry
-from repro.hacc.sph.pairs import PairContext, sph_cutoff
+from repro.hacc.sph.pairs import PairContext
 from repro.observability.metrics import INTERACTIONS_BUCKETS, MetricsRegistry
 from repro.observability.tracing import TraceRecorder, maybe_span
 
@@ -171,8 +171,9 @@ class AdiabaticDriver:
         self.short_range = ShortRangeSolver(
             self.config.box, self.pm.split_scale, sr_cutoff
         )
-        #: one spatial decomposition per step, shared by the SPH pair
-        #: context and the short-range gravity (Verlet-skin reuse)
+        #: the short-range gravity's spatial index, reused while the
+        #: positions are unchanged (a step's closing force evaluation
+        #: and the next step's opening one)
         self.pair_cache = CellListCache(self.config.box)
         self.trace = WorkloadTrace()
         self.diagnostics: list[StepDiagnostics] = []
@@ -263,22 +264,13 @@ class AdiabaticDriver:
         return acc
 
     def _gas_view(self):
-        """Gas arrays + pair context for the hydro kernels.
-
-        The pair context rides the step's shared cell list (binned over
-        the full two-species set), restricted to the gas subset."""
+        """Gas arrays + pair context for the hydro kernels (the pair
+        search indexes the gas positions only)."""
         p = self.particles
         mask = p.species_mask(Species.BARYON)
         idx = np.nonzero(mask)[0]
-        pos_all = p.positions
-        pos = pos_all[idx]
-        h = p.hsml[idx]
-        if len(idx) == 0:
-            return mask, idx, PairContext.build(pos, h, p.box)
-        _requested, cutoff = sph_cutoff(h, p.box)
-        cl = self.pair_cache.get(pos_all, cutoff)
         ctx = PairContext.build(
-            pos, h, p.box, cell_list=cl, subset=idx, metrics=self.metrics
+            p.positions[idx], p.hsml[idx], p.box, metrics=self.metrics
         )
         return mask, idx, ctx
 

@@ -28,8 +28,8 @@ METRIC_GLOSSARY: dict[str, str] = {
     "sim.kernel.launches": "hot-kernel launches recorded by the driver (counter)",
     "sim.kernel.interactions": "pair interactions computed, work-items x per-item (counter)",
     "sim.kernel.interactions_per_item": "per-launch mean neighbour count (histogram)",
-    "sim.pairs.cell_list.builds": "cell-list (re)builds in the step-level pair cache (counter)",
-    "sim.pairs.cell_list.hits": "cell-list cache hits under the Verlet-skin criterion (counter)",
+    "sim.pairs.cell_list.builds": "gravity pair-index (k-d tree) builds: the cache held another position state (counter)",
+    "sim.pairs.cell_list.hits": "gravity pair-index reuses at an unchanged position state (counter)",
     "sim.pairs.cutoff_truncated": "SPH pair searches clamped to the minimum-image bound (counter)",
     "device.kernel.launches": "kernel submissions priced on a virtual device (counter)",
     "device.kernel.seconds": "simulated device seconds across submissions (counter)",
@@ -56,7 +56,7 @@ METRIC_GLOSSARY: dict[str, str] = {
     "sim.health.step_seconds": "wall-clock seconds of the latest completed step (gauge)",
     "sim.health.subcycles": "hydro subcycles taken by the latest step, timestep-collapse watch (gauge)",
     "sim.health.guard_hit_rate": "NaN-guard violations per screened kernel output this step (gauge)",
-    "sim.health.cache_hit_rate": "pair-cache hits per cell-list request this step (gauge)",
+    "sim.health.cache_hit_rate": "pair-index cache hits per gravity pair-index request this step (gauge)",
     "sim.health.alerts": "health-detector alerts raised across all monitors (counter)",
     "checkpoint.writes": "simulation checkpoints written (counter)",
     "checkpoint.bytes": "bytes of checkpoint data written (counter)",

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.hacc.neighbors import find_pairs
 from repro.hacc.particles import ParticleData
 from repro.hacc.pm import PMConfig, PMSolver
 from repro.hacc.short_range import (
@@ -12,6 +13,31 @@ from repro.hacc.short_range import (
     exact_short_range_factor,
 )
 from repro.hacc.units import G_NEWTON
+
+
+def directed_reference(solver, p, *, use_polynomial):
+    """Short-range accelerations summed over the *directed* pair list:
+    each ordered pair (i, j) adds j's pull on i, with no use of
+    Newton's third law."""
+    i, j = find_pairs(p.positions, p.box, solver.cutoff)
+    d = p.minimum_image(p.positions[i] - p.positions[j])
+    r2 = np.einsum("ij,ij->i", d, d) + solver.softening**2
+    r = np.sqrt(r2)
+    if use_polynomial:
+        factor = solver.kernel(r)
+    else:
+        factor = exact_short_range_factor(r, solver.r_s)
+    f = -G_NEWTON * p.mass[j] * factor / (r2 * r)
+    acc = np.zeros((len(p), 3))
+    np.add.at(acc, i, f[:, None] * d)
+    return acc
+
+
+def random_box(rng, n=300, box=10.0):
+    p = ParticleData.allocate(n, box=box)
+    p.set_positions(rng.uniform(0, box, (n, 3)))
+    p.arrays["mass"][:] = rng.uniform(1e9, 1e10, n)
+    return p
 
 
 def two_body(box=20.0, sep=1.0):
@@ -130,6 +156,47 @@ class TestShortRangeSolver:
         cl = CellList.build(p.positions, p.box, 3.0)
         shared = solver.accelerations(p, cell_list=cl)
         assert np.allclose(plain, shared)
+
+
+class TestUnorderedPairGravity:
+    """Each unordered pair is evaluated once and applied to both ends."""
+
+    @pytest.mark.parametrize("use_polynomial", [True, False])
+    def test_matches_directed_pair_reference(self, rng, use_polynomial):
+        p = random_box(rng)
+        solver = ShortRangeSolver(p.box, r_s=1.0, cutoff=3.0)
+        acc = solver.accelerations(p, use_polynomial=use_polynomial)
+        ref = directed_reference(solver, p, use_polynomial=use_polynomial)
+        assert solver.interaction_count(p) > 1000
+        assert np.abs(acc - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_total_momentum_change_is_zero(self, rng):
+        p = random_box(rng)
+        solver = ShortRangeSolver(p.box, r_s=1.0, cutoff=3.0)
+        force = p.mass[:, None] * solver.accelerations(p)
+        assert np.all(np.abs(force.sum(axis=0)) <= 1e-14 * np.abs(force).sum())
+
+    def test_chunked_equals_single_chunk(self, rng, monkeypatch):
+        import repro.hacc.short_range as sr
+
+        p = random_box(rng)
+        solver = ShortRangeSolver(p.box, r_s=1.0, cutoff=3.0)
+        whole = solver.accelerations(p)
+        monkeypatch.setattr(sr, "_PAIR_CHUNK", 97)
+        assert len(solver.pair_list(p)[0]) > 10 * 97
+        chunked = solver.accelerations(p)
+        assert np.abs(chunked - whole).max() <= 1e-12 * np.abs(whole).max()
+
+    def test_pair_list_is_unordered(self, rng):
+        p = random_box(rng, n=80)
+        solver = ShortRangeSolver(p.box, r_s=1.0, cutoff=3.0)
+        i, j = solver.pair_list(p)
+        assert np.all(i < j)
+        di, dj = find_pairs(p.positions, p.box, 3.0)
+        assert sorted(zip(i.tolist(), j.tolist())) == sorted(
+            (a, b) for a, b in zip(di.tolist(), dj.tolist()) if a < b
+        )
+        assert solver.interaction_count(p) == len(di)
 
 
 class TestPMSolver:

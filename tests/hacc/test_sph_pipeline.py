@@ -87,26 +87,32 @@ class TestPairContext:
             isinstance(w.message, CutoffTruncationWarning) for w in recwarn.list
         )
 
-    def test_build_on_shared_cell_list_subset_matches_plain(self, state):
-        # the driver path: a cell list binned over the full two-species
-        # set, with the SPH context built on the gas subset
+    def test_build_on_shared_cell_list_matches_plain(self, state):
+        # a prebuilt spatial index of the gas positions gives the same
+        # context as the search building its own
         from repro.hacc.neighbors import CellList
 
         pos, h, ctx, box = state
-        rng = np.random.default_rng(3)
-        n_dark = 100
-        full_pos = np.concatenate([rng.uniform(0, box, (n_dark, 3)), pos])
-        subset = np.arange(n_dark, n_dark + len(pos))
-        cl = CellList.build(full_pos, box, 2.0 * h.max())
-        shared = PairContext.build(pos, h, box, cell_list=cl, subset=subset)
+        cl = CellList.build(pos, box, 2.0 * h.max())
+        shared = PairContext.build(pos, h, box, cell_list=cl)
         assert shared.n == ctx.n
-        assert set(zip(shared.i.tolist(), shared.j.tolist())) == set(
+        assert sorted(zip(shared.i.tolist(), shared.j.tolist())) == sorted(
             zip(ctx.i.tolist(), ctx.j.tolist())
         )
         order_a = np.lexsort((shared.j, shared.i))
         order_b = np.lexsort((ctx.j, ctx.i))
-        assert np.allclose(shared.dx[order_a], ctx.dx[order_b])
-        assert np.allclose(shared.r[order_a], ctx.r[order_b])
+        assert np.array_equal(shared.dx[order_a], ctx.dx[order_b])
+        assert np.array_equal(shared.r[order_a], ctx.r[order_b])
+
+    def test_build_rejects_index_of_other_positions(self, state):
+        from repro.hacc.neighbors import CellList
+
+        pos, h, _ctx, box = state
+        rng = np.random.default_rng(3)
+        full_pos = np.concatenate([rng.uniform(0, box, (100, 3)), pos])
+        cl = CellList.build(full_pos, box, 2.0 * h.max())
+        with pytest.raises(ValueError, match="other positions"):
+            PairContext.build(pos, h, box, cell_list=cl)
 
     def test_displacement_consistency(self, state):
         pos, _h, ctx, box = state
